@@ -60,8 +60,10 @@ trace-smoke:
 	$(GO) run ./cmd/rhsd-serve -selftest -init-random -slow-scan 1ns
 
 # GEMM kernel matrix: re-run the numeric parity suites with each
-# registered micro-kernel forced via RHSD_GEMM_KERNEL, then the int8
-# parity suites with each quantized kernel forced via RHSD_QGEMM_KERNEL.
+# registered micro-kernel forced via RHSD_GEMM_KERNEL — including the
+# batched refinement trunk, whose panel geometry differs per kernel —
+# then the int8 parity suites with each quantized kernel forced via
+# RHSD_QGEMM_KERNEL.
 # A kernel the host cannot run is skipped inside the tests with a logged
 # reason (the TestForcedKernelActive gates record that the request was
 # not honored), so the matrix stays green on narrower machines while
@@ -72,6 +74,8 @@ kernel-matrix:
 		echo "== RHSD_GEMM_KERNEL=$$k =="; \
 		RHSD_GEMM_KERNEL=$$k $(GO) test -count=1 \
 			-run 'Gemm|Conv|Infer|Kernel|Quantize' ./internal/tensor ./internal/nn || exit 1; \
+		RHSD_GEMM_KERNEL=$$k $(GO) test -count=1 \
+			-run 'Refine|KernelParity' ./internal/hsd || exit 1; \
 	done
 	for q in qgo qavx2 qvnni; do \
 		echo "== RHSD_QGEMM_KERNEL=$$q =="; \

@@ -626,14 +626,20 @@ func (m *Model) RefineForward(out *BaseOutput, rois []geom.Rect) (cls, reg *tens
 // Reset (i.e. the next InferBase/Detect call). Values are bit-identical
 // to RefineForward.
 func (m *Model) RefineInfer(out *BaseOutput, rois []geom.Rect) (cls, reg *tensor.Tensor) {
+	hidden := m.RefineFC.Infer(m.refineTrunkInfer(out, rois), m.ws)
+	return m.RefineCls.Infer(hidden, m.ws), m.RefineReg.Infer(hidden, m.ws)
+}
+
+// refineTrunkInfer pools the RoIs and runs the refinement trunk on all
+// of them as one batch [R, C, 7, 7]: each trunk convolution is a single
+// packed GEMM over the R RoIs (tensor.Conv2DInfer), not one per RoI.
+func (m *Model) refineTrunkInfer(out *BaseOutput, rois []geom.Rect) *tensor.Tensor {
 	pooled := m.RoI.Infer(m.ws, out.Feat, rois)
 	if m.Config.UseFineTap {
 		finePooled := m.RoIFine.Infer(m.ws, out.FineFeat, rois)
 		pooled = tensor.ConcatChannelsInfer(m.ws, pooled, finePooled)
 	}
-	trunkOut := m.RefineTrunk.Infer(pooled, m.ws)
-	hidden := m.RefineFC.Infer(trunkOut, m.ws)
-	return m.RefineCls.Infer(hidden, m.ws), m.RefineReg.Infer(hidden, m.ws)
+	return m.RefineTrunk.Infer(pooled, m.ws)
 }
 
 // RefineBackward propagates head gradients back to the shared feature

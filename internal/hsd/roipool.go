@@ -19,6 +19,7 @@ type RoIPool struct {
 
 	feat *tensor.Tensor // cached feature map [1, C, H, W]
 	arg  []int32        // argmax flat index into the feature plane, or -1
+	bins []int          // one RoI's bin bounds (binBounds scratch)
 }
 
 // NewRoIPool constructs a pooling module.
@@ -54,18 +55,13 @@ func (p *RoIPool) Forward(feat *tensor.Tensor, rois []geom.Rect) *tensor.Tensor 
 			oi += c * p.Size * p.Size
 			continue
 		}
-		bw := (fx1 - fx0) / float64(p.Size)
-		bh := (fy1 - fy0) / float64(p.Size)
+		y0s, y1s, x0s, x1s := p.binBounds(fx0, fy0, fx1, fy1, w, h)
 		for ch := 0; ch < c; ch++ {
 			plane := feat.Data()[ch*h*w : (ch+1)*h*w]
 			for by := 0; by < p.Size; by++ {
-				y0 := int(math.Floor(fy0 + float64(by)*bh))
-				y1 := int(math.Ceil(fy0 + float64(by+1)*bh))
-				y0, y1 = clampBin(y0, y1, h)
+				y0, y1 := y0s[by], y1s[by]
 				for bx := 0; bx < p.Size; bx++ {
-					x0 := int(math.Floor(fx0 + float64(bx)*bw))
-					x1 := int(math.Ceil(fx0 + float64(bx+1)*bw))
-					x0, x1 = clampBin(x0, x1, w)
+					x0, x1 := x0s[bx], x1s[bx]
 					best := float32(math.Inf(-1))
 					bestIdx := int32(-1)
 					for y := y0; y < y1; y++ {
@@ -106,18 +102,13 @@ func (p *RoIPool) Infer(ws *tensor.Workspace, feat *tensor.Tensor, rois []geom.R
 			oi += c * p.Size * p.Size
 			continue
 		}
-		bw := (fx1 - fx0) / float64(p.Size)
-		bh := (fy1 - fy0) / float64(p.Size)
+		y0s, y1s, x0s, x1s := p.binBounds(fx0, fy0, fx1, fy1, w, h)
 		for ch := 0; ch < c; ch++ {
 			plane := feat.Data()[ch*h*w : (ch+1)*h*w]
 			for by := 0; by < p.Size; by++ {
-				y0 := int(math.Floor(fy0 + float64(by)*bh))
-				y1 := int(math.Ceil(fy0 + float64(by+1)*bh))
-				y0, y1 = clampBin(y0, y1, h)
+				y0, y1 := y0s[by], y1s[by]
 				for bx := 0; bx < p.Size; bx++ {
-					x0 := int(math.Floor(fx0 + float64(bx)*bw))
-					x1 := int(math.Ceil(fx0 + float64(bx+1)*bw))
-					x0, x1 = clampBin(x0, x1, w)
+					x0, x1 := x0s[bx], x1s[bx]
 					best := float32(math.Inf(-1))
 					found := false
 					for y := y0; y < y1; y++ {
@@ -149,6 +140,27 @@ func (p *RoIPool) Backward(gy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
+}
+
+// binBounds computes one RoI's bin bounds: bin (by, bx) pools rows
+// [y0[by], y1[by]) and columns [x0[bx], x1[bx]) of every channel plane
+// of a w×h feature map, for the RoI spanning [fx0, fx1)×[fy0, fy1)
+// there. The bounds depend only on the RoI, so the pooling loops compute
+// them once per RoI rather than once per channel. The slices alias
+// scratch the pool reuses across calls.
+func (p *RoIPool) binBounds(fx0, fy0, fx1, fy1 float64, w, h int) (y0, y1, x0, x1 []int) {
+	size := p.Size
+	if len(p.bins) != 4*size {
+		p.bins = make([]int, 4*size)
+	}
+	y0, y1, x0, x1 = p.bins[:size], p.bins[size:2*size], p.bins[2*size:3*size], p.bins[3*size:]
+	bw := (fx1 - fx0) / float64(size)
+	bh := (fy1 - fy0) / float64(size)
+	for i := 0; i < size; i++ {
+		y0[i], y1[i] = clampBin(int(math.Floor(fy0+float64(i)*bh)), int(math.Ceil(fy0+float64(i+1)*bh)), h)
+		x0[i], x1[i] = clampBin(int(math.Floor(fx0+float64(i)*bw)), int(math.Ceil(fx0+float64(i+1)*bw)), w)
+	}
+	return y0, y1, x0, x1
 }
 
 func clampF(v, lo, hi float64) float64 {

@@ -26,7 +26,7 @@ func convFusedShapes() []convFusedShape {
 		{1, 64, 16, 16, 32, ConvOpts{Kernel: 1, Stride: 1, Padding: 0}},
 		// No padding: interior-only taps, oh < h.
 		{1, 12, 30, 30, 24, ConvOpts{Kernel: 3, Stride: 1, Padding: 0}},
-		// Batched: per-item fused packing.
+		// Batched: one fused GEMM over all items.
 		{3, 16, 28, 28, 32, ConvOpts{Kernel: 3, Stride: 1, Padding: 1}},
 	}
 }
@@ -76,8 +76,8 @@ func TestConvInferFusedMatchesMaterialized(t *testing.T) {
 
 // TestConvInferFusedParityAcrossWorkerCounts re-checks the determinism
 // contract on the fused path: a batched fused conv must be bit-identical
-// at 1 and 8 workers (both the per-item batch fan-out and the
-// column-block fan-out inside each GEMM are in play).
+// at 1 and 8 workers (the batch is one GEMM whose column blocks, which
+// straddle items, fan out over the pool).
 func TestConvInferFusedParityAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	sh := convFusedShape{4, 16, 28, 28, 32, ConvOpts{Kernel: 3, Stride: 1, Padding: 1}}

@@ -183,19 +183,21 @@ func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor
 	kk := c * o.Kernel * o.Kernel
 	out := ws.Tensor(n, oc, oh, ow)
 	sc := ws.ProfileScope()
+	if n == 0 {
+		return out
+	}
 	if convFusedEligible(oc, oh*ow, kk) {
-		// Fused path: B panels are packed straight from the image inside
+		// Fused path: B panels are packed straight from the images inside
 		// the packed GEMM (bSource.packIm2col), so the lowered column
-		// matrix is never materialized — one full write+read of
-		// kk·oh·ow floats per item is skipped, and the workspace never
-		// even allocates that size class.
-		if n == 1 || parallel.Workers() == 1 {
-			conv2dInferItemsFused(sc, x.data, wgt.data, out.data, c, h, w, oc, kk, o, 0, n)
-		} else {
-			parallel.For(n, 1, func(n0, n1 int) {
-				conv2dInferItemsFused(sc, x.data, wgt.data, out.data, c, h, w, oc, kk, o, n0, n1)
-			})
-		}
+		// matrix is never materialized. The whole batch is one product
+		// [oc, n·oh·ow] whose tiles store straight into the NCHW output:
+		// A (the weights) is packed once per call instead of once per
+		// item, and the narrow planes of the refinement stage (7×7, 4×4)
+		// fill whole register panels. Every output element accumulates
+		// the same k-ascending sum as a per-item product, so results are
+		// bit-identical to it.
+		bs := im2colB(x.data, n, c, h, w, o)
+		gemmPackedScoped(gemmActive.Load(), sc, false, oc, bs.n, kk, 1, wgt.data, bs, 0, out.data)
 		epilogueSweep(out, ep)
 		return out
 	}
@@ -238,17 +240,6 @@ func SetConvFusedIm2col(on bool) (prev bool) {
 // materialized scalar path.
 func convFusedEligible(m, n, k int) bool {
 	return convFusedEnabled.Load() && gemmUsesPacked(m, n, k)
-}
-
-// conv2dInferItemsFused multiplies batch items [n0, n1) with B panels
-// packed directly from each image.
-func conv2dInferItemsFused(sc *ProfileScope, xd, wd, od []float32, c, h, w, oc, kk int, o ConvOpts, n0, n1 int) {
-	oh, ow := o.OutDim(h), o.OutDim(w)
-	for i := n0; i < n1; i++ {
-		bs := im2colB(xd[i*c*h*w:(i+1)*c*h*w], c, h, w, o)
-		dst := od[i*oc*oh*ow : (i+1)*oc*oh*ow]
-		gemmPackedScoped(gemmActive.Load(), sc, false, oc, oh*ow, kk, 1, wd, bs, 0, dst)
-	}
 }
 
 // conv2dInferItems lowers and multiplies batch items [n0, n1).

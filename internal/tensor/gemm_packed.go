@@ -23,9 +23,10 @@ import (
 //     MR×NR register tile over the packed panels and adds it into C.
 //
 // B panels are produced by a bSource, which is either a dense matrix
-// (plain Gemm) or a virtual im2col lowering of an image (the fused
-// inference-conv path, conv_infer.go) — the panel values are identical
-// either way, so fusing changes memory traffic, never results.
+// (plain Gemm) or a virtual im2col lowering of a batch of images laid
+// side by side (the fused inference-conv path, conv_infer.go) — the
+// panel values are identical either way, so fusing changes memory
+// traffic, never results.
 //
 // Determinism: the block geometry is fixed per kernel and the k-blocks
 // of one output element are always accumulated in ascending order by the
@@ -100,27 +101,42 @@ func sizeClass(n int) int {
 type bSource struct {
 	im2col bool
 	trans  bool      // dense only: B stored n×k instead of k×n
-	data   []float32 // dense matrix, or [c,h,w] image planes for im2col
+	data   []float32 // dense matrix, or [N,c,h,w] images for im2col
 	k, n   int       // op(B) dimensions
-	// im2col fields: op(B)[row, j] = image[ch, oy·stride+ky-pad,
-	// ox·stride+kx-pad] with row = (ch·K+ky)·K+kx and j = oy·ow+ox,
-	// zero outside the image — exactly the matrix im2colInto
-	// materializes, produced panel-by-panel on the fly instead.
-	c, h, w, ow int
-	o           ConvOpts
+	// im2col fields: op(B)[row, j] = image_i[ch, oy·stride+ky-pad,
+	// ox·stride+kx-pad] with row = (ch·K+ky)·K+kx and
+	// j = (i·oh+oy)·ow+ox, zero outside the image — the N per-image
+	// matrices im2colInto materializes, placed side by side and produced
+	// panel-by-panel on the fly instead.
+	c, h, w, oh, ow int
+	o               ConvOpts
+}
+
+// group is the number of C columns stored as one row-major [m, group]
+// block: an im2col source's columns run image by image, and C holds each
+// image's [m, oh·ow] product at offset i·m·oh·ow — the NCHW layout of a
+// convolution output — while a dense source is a single group of n.
+func (bs bSource) group() int {
+	if bs.im2col {
+		return bs.oh * bs.ow
+	}
+	return bs.n
 }
 
 func denseB(trans bool, k, n int, b []float32) bSource {
 	return bSource{trans: trans, data: b, k: k, n: n}
 }
 
-func im2colB(x []float32, c, h, w int, o ConvOpts) bSource {
+// im2colB is the virtual lowering of the n images [n,c,h,w] in x: one
+// op(B) whose n·oh·ow columns run image by image.
+func im2colB(x []float32, n, c, h, w int, o ConvOpts) bSource {
+	oh, ow := o.OutDim(h), o.OutDim(w)
 	return bSource{
 		im2col: true,
 		data:   x,
 		k:      c * o.Kernel * o.Kernel,
-		n:      o.OutDim(h) * o.OutDim(w),
-		c:      c, h: h, w: w, ow: o.OutDim(w),
+		n:      n * oh * ow,
+		c:      c, h: h, w: w, oh: oh, ow: ow,
 		o: o,
 	}
 }
@@ -172,10 +188,10 @@ func (bs bSource) pack(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	}
 }
 
-// packIm2col packs B panels straight from the image, skipping the
+// packIm2col packs B panels straight from the images, skipping the
 // materialized column matrix entirely: each element is computed from the
-// (channel, ky, kx) row decomposition and the (oy, ox) output pixel the
-// column index names. Values — including the zero padding of
+// (channel, ky, kx) row decomposition and the (image, oy, ox) output
+// pixel the column index names. Values — including the zero padding of
 // out-of-image taps and of columns beyond the block — are identical to
 // running packB over im2colInto's output, which is what keeps the fused
 // and materialized conv paths bit-identical.
@@ -183,7 +199,8 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	nr, kcStride := kr.nr, kr.kc
 	o := bs.o
 	kern, stride := o.Kernel, o.Stride
-	h, w, ow := bs.h, bs.w, bs.ow
+	h, w, oh, ow := bs.h, bs.w, bs.oh, bs.ow
+	imgStride := bs.c * h * w
 	x := bs.data
 	nPanels := (nc + nr - 1) / nr
 	for np := 0; np < nPanels; np++ {
@@ -199,11 +216,12 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 		rem := pc - ch*kern*kern
 		ky := rem / kern
 		kx := rem - ky*kern
-		oy0 := j0 / ow
-		ox0 := j0 - oy0*ow
+		img0 := j0 / (oh * ow)
+		oy0 := j0/ow - img0*oh
+		ox0 := j0 - (img0*oh+oy0)*ow
 		for p := 0; p < kc; p++ {
 			d := dst[p*nr : p*nr+nr]
-			base := ch * h * w
+			base := img0*imgStride + ch*h*w
 			dy := ky - o.Padding
 			dx := kx - o.Padding
 			oy, ox := oy0, ox0
@@ -211,7 +229,9 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 			// segment sy is fixed, so padding resolves to zero-fills and
 			// — at stride 1, the dominant conv geometry — the interior is
 			// one contiguous copy from the image row, the same memmove
-			// fast path the dense packer and im2colChans enjoy.
+			// fast path the dense packer and im2colChans enjoy. A
+			// segment never crosses an image: the walk moves to the next
+			// image's plane when oy reaches oh.
 			for s := 0; s < cols; {
 				seg := ow - ox
 				if seg > cols-s {
@@ -252,6 +272,10 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 				s += seg
 				ox = 0
 				oy++
+				if oy == oh {
+					oy = 0
+					base += imgStride
+				}
 			}
 			for s := cols; s < nr; s++ {
 				d[s] = 0
@@ -330,7 +354,7 @@ func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, beta float32, c, 
 				kc = kr.kc
 			}
 			bs.pack(kr, pb, jc, nc, pc, kc)
-			gemmPackedBlockTiles(kr, m, n, kc, beta, c, pa, pb, kb, mPanels, jc, nc)
+			gemmPackedBlockTiles(kr, m, n, bs.group(), kc, beta, c, pa, pb, kb, mPanels, jc, nc)
 		}
 	}
 }
@@ -338,8 +362,9 @@ func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, beta float32, c, 
 // gemmPackedBlockTiles sweeps the micro-kernel over one (column block,
 // k-block) pair whose B panels are already packed in pb — shared by the
 // per-call packers above and the prepacked-B driver (gemm_prepack.go),
-// so both consume panel data through identical tile arithmetic.
-func gemmPackedBlockTiles(kr *gemmKernel, m, n, kc int, beta float32, c, pa, pb []float32, kb, mPanels, jc, nc int) {
+// so both consume panel data through identical tile arithmetic. C is
+// laid out in column groups of width group (see bSource.group).
+func gemmPackedBlockTiles(kr *gemmKernel, m, n, group, kc int, beta float32, c, pa, pb []float32, kb, mPanels, jc, nc int) {
 	mr, nr := kr.mr, kr.nr
 	nPanels := (nc + nr - 1) / nr
 	first := kb == 0
@@ -358,7 +383,7 @@ func gemmPackedBlockTiles(kr *gemmKernel, m, n, kc int, beta float32, c, pa, pb 
 			}
 			var acc [gemmMaxTile]float32
 			gemmMicroRun(kr.kind, mr, nr, kc, paPanel, pb[np*kr.kc*nr:], &acc)
-			storeTile(c, n, i0, j0, mi, nj, nr, &acc, first, beta)
+			storeTile(c, m, n, group, i0, j0, mi, nj, nr, &acc, first, beta)
 		}
 	}
 }
@@ -416,27 +441,39 @@ func packA(kr *gemmKernel, transA bool, m, k int, alpha float32, a []float32, pa
 }
 
 // storeTile adds the mi×nj valid region of an MR×NR accumulator tile
-// (row stride nr) into C at (i0, j0). On the first k-block the
+// (row stride nr) into C at (i0, j0), where C is stored in column groups
+// of width group (see bSource.group). A tile that straddles a group
+// boundary is stored as one segment per group. On the first k-block the
 // destination is beta-scaled first, matching the beta-then-accumulate
 // semantics of the unblocked kernel.
-func storeTile(c []float32, n, i0, j0, mi, nj, nr int, acc *[gemmMaxTile]float32, first bool, beta float32) {
-	for r := 0; r < mi; r++ {
-		crow := c[(i0+r)*n+j0 : (i0+r)*n+j0+nj]
-		arow := acc[r*nr : r*nr+nj]
-		switch {
-		case first && beta == 0:
-			for s := range crow {
-				crow[s] = arow[s]
-			}
-		case first && beta != 1:
-			for s := range crow {
-				crow[s] = beta*crow[s] + arow[s]
-			}
-		default:
-			for s := range crow {
-				crow[s] += arow[s]
+func storeTile(c []float32, m, n, group, i0, j0, mi, nj, nr int, acc *[gemmMaxTile]float32, first bool, beta float32) {
+	g, gj := 0, j0
+	if group < n {
+		g = j0 / group
+		gj = j0 - g*group
+	}
+	for s0 := 0; s0 < nj; {
+		seg := min(nj-s0, group-gj)
+		base := g*m*group + gj
+		for r := 0; r < mi; r++ {
+			crow := c[base+(i0+r)*group : base+(i0+r)*group+seg]
+			arow := acc[r*nr+s0 : r*nr+s0+seg]
+			switch {
+			case first && beta == 0:
+				copy(crow, arow)
+			case first && beta != 1:
+				for s := range crow {
+					crow[s] = beta*crow[s] + arow[s]
+				}
+			default:
+				for s := range crow {
+					crow[s] += arow[s]
+				}
 			}
 		}
+		s0 += seg
+		g++
+		gj = 0
 	}
 }
 

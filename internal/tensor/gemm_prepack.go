@@ -176,7 +176,7 @@ func gemmPackedBlocksPre(kr *gemmKernel, pre []float32, m, n, k int, beta float3
 			if kc > kr.kc {
 				kc = kr.kc
 			}
-			gemmPackedBlockTiles(kr, m, n, kc, beta, c, pa, pre[base+kb*nPanels*panel:], kb, mPanels, jc, nc)
+			gemmPackedBlockTiles(kr, m, n, n, kc, beta, c, pa, pre[base+kb*nPanels*panel:], kb, mPanels, jc, nc)
 		}
 	}
 }
